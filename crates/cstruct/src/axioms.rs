@@ -44,6 +44,16 @@ pub fn check_bottom_and_append<C: CStruct>(a: &C, cmd: &C::Cmd) {
     );
 }
 
+/// [`CStruct::absorbs`] agrees with its definition: `v` absorbs `C`
+/// exactly when `v • C = v`.
+pub fn check_absorbs<C: CStruct>(a: &C, cmd: &C::Cmd) {
+    assert_eq!(
+        a.absorbs(cmd),
+        a.appended(cmd) == *a,
+        "absorbs disagrees with append: {a:?}, {cmd:?}"
+    );
+}
+
 /// CS3 (glb): `a ⊓ b` is a lower bound of `{a, b}` and is greater than any
 /// lower bound in `candidates`.
 pub fn check_glb<C: CStruct>(a: &C, b: &C, candidates: &[C]) {
@@ -138,6 +148,7 @@ pub fn check_all<C: CStruct>(a: &C, b: &C, c: &C, cmd: &C::Cmd) {
     let candidates = [a.clone(), b.clone(), c.clone(), C::bottom()];
     check_partial_order(a, b, c);
     check_bottom_and_append(a, cmd);
+    check_absorbs(a, cmd);
     check_glb(a, b, &candidates);
     check_lub(a, b, &candidates);
     check_compatibility_consistency(a, b);

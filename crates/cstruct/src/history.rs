@@ -694,7 +694,13 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
 
     fn glb(&self, other: &Self) -> Self {
         self.assert_aligned(other, "glb");
-        Self::from_subsequence(self, &Self::prefix(self, other))
+        let kept = Self::prefix(self, other);
+        if kept.len() == self.seq.len() {
+            // Every position survives: the rebuild would reproduce `self`'s
+            // sequence and adjacency exactly, so skip re-hashing the indexes.
+            return self.clone();
+        }
+        Self::from_subsequence(self, &kept)
     }
 
     fn lub(&self, other: &Self) -> Option<Self> {
@@ -720,6 +726,11 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
     }
 
     fn contains(&self, cmd: &C) -> bool {
+        self.pos.contains_key(cmd)
+    }
+
+    fn absorbs(&self, cmd: &C) -> bool {
+        // `append` is a no-op exactly for a contained command.
         self.pos.contains_key(cmd)
     }
 

@@ -80,6 +80,13 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
         v
     }
 
+    /// Whether appending `cmd` changes nothing: `self • cmd = self`.
+    /// Implementations with a cheaper exact test override the default,
+    /// which builds the appended value and compares.
+    fn absorbs(&self, cmd: &Self::Cmd) -> bool {
+        self.appended(cmd) == *self
+    }
+
     /// Appends a sequence of commands: `self • ⟨c₁, …, cₘ⟩`.
     fn append_all<I: IntoIterator<Item = Self::Cmd>>(&mut self, cmds: I) {
         for c in cmds {

@@ -311,6 +311,43 @@ proptest! {
         prop_assert!(rfull.suffix_from(beyond).is_none());
     }
 
+    /// A left operand that survives whole (`a ⊑ b`, so `a ⊓ b = a`) comes
+    /// back with `a`'s own sequence and adjacency, still agreeing with the
+    /// oracle. Inserting extra commands at arbitrary positions of `a`
+    /// yields both extensions and non-extensions of `a`.
+    #[test]
+    fn glb_keeps_a_surviving_left_operand(
+        a in prop::collection::vec(key_cmd(), 0..12),
+        extra in prop::collection::vec((key_cmd(), 0usize..13), 0..6),
+    ) {
+        let mut b_cmds = a.clone();
+        for (c, at) in extra.iter().cloned() {
+            let at = at.min(b_cmds.len());
+            b_cmds.insert(at, c);
+        }
+        let tail_cmds: Vec<KeyCmd> =
+            a.iter().cloned().chain(extra.into_iter().map(|(c, _)| c)).collect();
+        let ia: CommandHistory<KeyCmd> = a.iter().cloned().collect();
+        let ra: RefCommandHistory<KeyCmd> = a.iter().cloned().collect();
+        for other in [&a, &b_cmds, &tail_cmds] {
+            let ib: CommandHistory<KeyCmd> = other.iter().cloned().collect();
+            let rb: RefCommandHistory<KeyCmd> = other.iter().cloned().collect();
+            let g = ia.glb(&ib);
+            prop_assert_eq!(g.as_slice(), ra.glb(&rb).as_slice(), "glb diverged");
+            let whole = g.as_slice().len() == ia.as_slice().len();
+            prop_assert_eq!(whole, ia.le(&ib), "left operand survival != a ⊑ b");
+            if whole {
+                prop_assert_eq!(g.as_slice(), ia.as_slice());
+                prop_assert_eq!(g.conflict_edges(), ia.conflict_edges());
+                prop_assert!(g == ia);
+            }
+        }
+        // `a` against itself and against `a • extra` always survives whole.
+        prop_assert_eq!(ia.glb(&ia).as_slice(), ia.as_slice());
+        let it: CommandHistory<KeyCmd> = tail_cmds.iter().cloned().collect();
+        prop_assert_eq!(ia.glb(&it).as_slice(), ia.as_slice());
+    }
+
     /// Compaction: truncating a stable segment (a prefix of the pairwise
     /// glb — downward-closed in both operands by construction) agrees
     /// with the oracle, and every operator on the compacted pair gives

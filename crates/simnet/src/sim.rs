@@ -424,15 +424,22 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.heap.push(Scheduled { key, event });
     }
 
+    /// Whether the next trace entry will be stored.
+    fn is_tracing(&self) -> bool {
+        self.trace.len() < self.trace_cap
+    }
+
+    /// Stores a trace entry if tracing has room. `detail` runs only then,
+    /// so the hot path never formats a message nobody reads.
     fn record(
         &mut self,
         kind: TraceKind,
         process: ProcessId,
         from: Option<ProcessId>,
-        detail: String,
+        detail: impl FnOnce() -> String,
         bytes: u64,
     ) {
-        if self.trace_cap == 0 || self.trace.len() >= self.trace_cap {
+        if !self.is_tracing() {
             return;
         }
         self.trace.push(TraceEntry {
@@ -440,7 +447,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             kind,
             process,
             from,
-            detail,
+            detail: detail(),
             bytes,
         });
     }
@@ -449,7 +456,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// accounting are active (metering is pure, so re-invoking it here is
     /// just a second measurement).
     fn trace_bytes(&self, msg: &M) -> u64 {
-        if self.trace_cap == 0 || self.trace.len() >= self.trace_cap {
+        if !self.is_tracing() {
             return 0;
         }
         self.byte_meter.as_ref().map(|m| m(msg).1).unwrap_or(0)
@@ -476,14 +483,20 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 let up = self.procs.get(&to).map(|n| n.up).unwrap_or(false);
                 let bytes = self.trace_bytes(&msg);
                 if !up || self.is_blocked(from, to) {
-                    self.record(TraceKind::Drop, to, Some(from), format!("{msg:?}"), bytes);
+                    self.record(
+                        TraceKind::Drop,
+                        to,
+                        Some(from),
+                        || format!("{msg:?}"),
+                        bytes,
+                    );
                     return;
                 }
                 self.record(
                     TraceKind::Deliver,
                     to,
                     Some(from),
-                    format!("{msg:?}"),
+                    || format!("{msg:?}"),
                     bytes,
                 );
                 if let Some(n) = self.procs.get_mut(&to) {
@@ -517,7 +530,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     n.timers.remove(&token);
                     n.stats.timers_fired += 1;
                 }
-                self.record(TraceKind::Timer, at, None, format!("{token:?}"), 0);
+                self.record(TraceKind::Timer, at, None, || format!("{token:?}"), 0);
                 self.upcall(at, UpKind::Timer(token));
             }
             Event::Crash(p) => {
@@ -530,7 +543,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                         // Buffered-but-unflushed stable writes die with
                         // the process (group commit's crash semantics).
                         n.storage.lose_unflushed();
-                        self.record(TraceKind::Crash, p, None, String::new(), 0);
+                        self.record(TraceKind::Crash, p, None, String::new, 0);
                     }
                 }
             }
@@ -540,7 +553,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     let node = self.procs.get_mut(&p).expect("checked above");
                     node.actor = Some((node.factory)());
                     node.up = true;
-                    self.record(TraceKind::Recover, p, None, String::new(), 0);
+                    self.record(TraceKind::Recover, p, None, String::new, 0);
                     self.upcall(p, UpKind::Recover);
                 }
             }
@@ -577,25 +590,21 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     }
 
     fn upcall(&mut self, pid: ProcessId, kind: UpKind<M>) {
-        let (mut actor, mut storage) = {
-            let node = match self.procs.get_mut(&pid) {
-                Some(n) if n.up => n,
-                _ => return,
-            };
-            let actor = node.actor.take().expect("up process has an actor");
-            let storage = std::mem::replace(
-                &mut node.storage,
-                Box::new(MemStore::new()) as Box<dyn StableStore>,
-            );
-            (actor, storage)
+        // The actor and its storage are borrowed in place, disjoint from
+        // the simulator's RNG.
+        let node = match self.procs.get_mut(&pid) {
+            Some(n) if n.up => n,
+            _ => return,
         };
+        let actor = node.actor.as_deref_mut().expect("up process has an actor");
+        let storage = node.storage.as_mut();
         let writes_before = storage.write_count();
         let mut fx = Effects::default();
         {
             let mut ctx = SimCtx {
                 me: pid,
                 now: self.now,
-                storage: storage.as_mut(),
+                storage: &mut *storage,
                 rng: &mut self.rng,
                 fx: &mut fx,
             };
@@ -608,11 +617,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             }
         }
         let disk_writes = storage.write_count() - writes_before;
-        {
-            let node = self.procs.get_mut(&pid).expect("node exists");
-            node.actor = Some(actor);
-            node.storage = storage;
-        }
         for m in fx.metrics.drain(..) {
             self.metrics.record(pid, m);
         }
@@ -670,7 +674,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 TraceKind::Drop,
                 to,
                 Some(from),
-                format!("{msg:?}"),
+                || format!("{msg:?}"),
                 trace_bytes,
             );
             return;
@@ -680,7 +684,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 TraceKind::Drop,
                 to,
                 Some(from),
-                format!("{msg:?}"),
+                || format!("{msg:?}"),
                 trace_bytes,
             );
             return;
