@@ -3,14 +3,18 @@
 //!
 //! Pushes the same command count through 1, 2 and 4 shards at cross-shard
 //! transfer fractions of 0%, 1% and 10%, emits `BENCH_shards.json` (a flat
-//! array of per-run records) so every CI run leaves a comparable artifact,
-//! and prints the scaling table. With `--check`, exits non-zero unless
+//! array of per-cell records) so every CI run leaves a comparable
+//! artifact, and prints the scaling table. Each cell is measured five
+//! times, interleaved — every repeat visits every cell once, so host drift
+//! during the measurement hits all cells alike — and reports its median
+//! throughput. With `--check`, exits non-zero unless
 //!
 //! * every run learns and applies all commands (merge completeness),
-//! * every run's merged bank state matches the 1-shard run of the same
+//! * every run's merged bank state matches the 1-shard runs of the same
 //!   workload (sharding must not change semantics),
 //! * 4 shards at 1% cross-shard traffic sustain ≥ 3× the 1-shard
-//!   throughput (the near-linear-scaling floor).
+//!   throughput, cell medians against each other (the
+//!   near-linear-scaling floor).
 //!
 //! Usage: `cargo run --release -p mcpaxos-bench --bin bench_shards [--check] [--out PATH]`
 
@@ -26,11 +30,14 @@ const SEED: u64 = 42;
 /// The scaling floor `--check` enforces at 4 shards, 1% cross-shard.
 const SPEEDUP_FLOOR: f64 = 3.0;
 
-fn json_record(s: &ShardRunStats, speedup: f64) -> String {
+/// Runs per cell; a cell reports its median-throughput run.
+const REPEATS: usize = 5;
+
+fn json_record(s: &ShardRunStats, speedup: f64, cps_runs: &[String]) -> String {
     format!(
         "{{\"shards\":{},\"transfer_pct\":{},\"commands\":{},\"cross_shard\":{},\
          \"applied\":{},\"elapsed_ms\":{:.1},\"cps\":{:.0},\"speedup_vs_1shard\":{:.2},\
-         \"bank_total\":{}}}",
+         \"bank_total\":{},\"cps_runs\":[{}]}}",
         s.shards,
         s.transfer_pct,
         s.commands,
@@ -40,6 +47,7 @@ fn json_record(s: &ShardRunStats, speedup: f64) -> String {
         s.cps,
         speedup,
         s.bank_total,
+        cps_runs.join(","),
     )
 }
 
@@ -53,17 +61,31 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_shards.json".to_string());
 
-    let mut runs: Vec<ShardRunStats> = Vec::new();
-    for &frac in &TRANSFER_FRACTIONS {
-        for &shards in &SHARD_COUNTS {
+    let cells: Vec<(f64, u16)> = TRANSFER_FRACTIONS
+        .iter()
+        .flat_map(|&frac| SHARD_COUNTS.iter().map(move |&shards| (frac, shards)))
+        .collect();
+    // Every run, per cell in run order.
+    let mut samples: Vec<Vec<ShardRunStats>> = vec![Vec::new(); cells.len()];
+    for rep in 1..=REPEATS {
+        for (cell, &(frac, shards)) in cells.iter().enumerate() {
             let s = shard_run(shards, frac, SHARD_BENCH_COMMANDS, SEED);
             eprintln!(
-                "shards={} transfers={:>4.1}%: {} cmds ({} cross) in {:.0} ms = {:.0} cps",
+                "run {rep}/{REPEATS} shards={} transfers={:>4.1}%: {} cmds ({} cross) in {:.0} ms = {:.0} cps",
                 s.shards, s.transfer_pct, s.commands, s.cross_shard, s.elapsed_ms, s.cps
             );
-            runs.push(s);
+            samples[cell].push(s);
         }
     }
+    // Each cell's median-throughput run.
+    let runs: Vec<ShardRunStats> = samples
+        .iter()
+        .map(|cell| {
+            let mut by_cps = cell.clone();
+            by_cps.sort_by(|a, b| a.cps.total_cmp(&b.cps));
+            by_cps.swap_remove(REPEATS / 2)
+        })
+        .collect();
 
     let base_cps = |pct: f64| {
         runs.iter()
@@ -89,11 +111,12 @@ fn main() {
     );
 
     let mut json = String::from("[\n");
-    for s in &runs {
+    for (s, cell) in runs.iter().zip(&samples) {
+        let cps_runs: Vec<String> = cell.iter().map(|r| format!("{:.0}", r.cps)).collect();
         let _ = writeln!(
             json,
             "  {},",
-            json_record(s, s.cps / base_cps(s.transfer_pct))
+            json_record(s, s.cps / base_cps(s.transfer_pct), &cps_runs)
         );
     }
     let batched_rows = [&plain, &lockstep, &batched];
@@ -111,7 +134,7 @@ fn main() {
     eprintln!("wrote {out} ({} bytes)", json.len());
 
     println!(
-        "throughput scaling ({} commands, wall-clock):",
+        "throughput scaling ({} commands, wall-clock, median of {REPEATS} interleaved runs):",
         SHARD_BENCH_COMMANDS
     );
     println!("  transfers |  1 shard |  2 shards |  4 shards | 4-shard speedup");
@@ -132,7 +155,7 @@ fn main() {
 
     if check {
         let mut failed = Vec::new();
-        for s in &runs {
+        for s in samples.iter().flatten() {
             if s.applied != s.commands as u64 {
                 failed.push(format!(
                     "{}-shard {}% run applied {} of {} commands",
@@ -142,8 +165,9 @@ fn main() {
         }
         for &frac in &TRANSFER_FRACTIONS {
             let pct = frac * 100.0;
-            let totals: Vec<u64> = runs
+            let totals: Vec<u64> = samples
                 .iter()
+                .flatten()
                 .filter(|r| (r.transfer_pct - pct).abs() < 1e-9)
                 .map(|r| r.bank_total)
                 .collect();

@@ -628,12 +628,31 @@ impl<C: CStruct> Coordinator<C> {
         let kind = self.cfg.schedule.kind(round);
         let entry = self.round_2b.get(&round).expect("just inserted");
         if entry.len() >= self.cfg.quorums.size_for(kind) && !self.outstanding.is_empty() {
-            let g = glb_all_ref(entry.values().map(|v| v.as_ref()));
+            // The glb below requires aligned reports: check them on every
+            // evaluation, whether or not the glb gets built.
+            let mut marks = entry.values().map(|v| v.watermark());
+            let first = marks.next().expect("a quorum of reports");
+            assert!(
+                marks.all(|w| w == first),
+                "2b reports for {round:?} at different watermarks: \
+                 normalize to a common watermark before combining"
+            );
             // A command is served when the chosen value contains it — or
             // *absorbs* it (appending changes nothing): with consensus
             // c-structs a losing proposal can never be added once a value
             // is decided, so it must not keep the stall detector armed.
-            self.outstanding.retain(|c| !g.contains(c) && !g.absorbs(c));
+            // Both are monotone along ⊑ and the glb is below every report,
+            // so a command some report neither contains nor absorbs is not
+            // served: build the glb only when some command passes this.
+            let served_by = |v: &C, c: &C::Cmd| v.contains(c) || v.absorbs(c);
+            if self
+                .outstanding
+                .iter()
+                .any(|c| entry.values().all(|v| served_by(v, c)))
+            {
+                let g = glb_all_ref(entry.values().map(|v| v.as_ref()));
+                self.outstanding.retain(|c| !served_by(&g, c));
+            }
         }
         // Wave retirement: a pipelined `2a` wave is acknowledged once a
         // quorum of acceptors report `2b` values covering its target
@@ -997,21 +1016,21 @@ mod tests {
 
     type C = CmdSet<u32>;
 
-    struct Ctx {
+    struct Ctx<V: CStruct = C> {
         me: ProcessId,
         now: SimTime,
-        sent: Vec<(ProcessId, Msg<C>)>,
+        sent: Vec<(ProcessId, Msg<V>)>,
         store: MemStore,
     }
 
-    impl Context<Msg<C>> for Ctx {
+    impl<V: CStruct> Context<Msg<V>> for Ctx<V> {
         fn me(&self) -> ProcessId {
             self.me
         }
         fn now(&self) -> SimTime {
             self.now
         }
-        fn send(&mut self, to: ProcessId, msg: Msg<C>) {
+        fn send(&mut self, to: ProcessId, msg: Msg<V>) {
             self.sent.push((to, msg));
         }
         fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
@@ -1030,7 +1049,7 @@ mod tests {
         Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated))
     }
 
-    fn ctx_for(me: u32) -> Ctx {
+    fn ctx_for<V: CStruct>(me: u32) -> Ctx<V> {
         Ctx {
             me: ProcessId(me),
             now: SimTime(100),
@@ -1039,12 +1058,143 @@ mod tests {
         }
     }
 
-    fn onb_msg(round: Round) -> Msg<C> {
+    fn onb_msg<V: CStruct>(round: Round) -> Msg<V> {
         Msg::P1b {
             round,
             vrnd: Round::ZERO,
-            vval: C::bottom().into(),
+            vval: V::bottom().into(),
         }
+    }
+
+    /// Coordinator c1 of `cfg()` leading round `r` (a 1b quorum joined),
+    /// with `cmds` proposed, so they are all outstanding.
+    fn leading_with<V: CStruct>(cmds: &[V::Cmd]) -> (Coordinator<V>, Ctx<V>, Round) {
+        let mut c1: Coordinator<V> = Coordinator::new(cfg(), ProcessId(1));
+        let mut cx = ctx_for(1);
+        c1.on_start(&mut cx);
+        let r = Round::new(0, 1, 0, RTYPE_MULTI);
+        for a in 4..=6 {
+            c1.on_message(ProcessId(a), onb_msg(r), &mut cx);
+        }
+        for cmd in cmds {
+            let propose = Msg::Propose {
+                cmd: cmd.clone(),
+                acc_quorum: None,
+            };
+            c1.on_message(ProcessId(0), propose, &mut cx);
+        }
+        assert_eq!(c1.outstanding, cmds);
+        (c1, cx, r)
+    }
+
+    fn report_2b<V: CStruct>(c: &mut Coordinator<V>, a: u32, r: Round, val: V, cx: &mut Ctx<V>) {
+        let msg = Msg::P2b {
+            round: r,
+            val: val.into(),
+        };
+        c.on_message(ProcessId(a), msg, cx);
+    }
+
+    #[test]
+    fn losing_single_decree_proposal_retires_with_the_winner() {
+        use mcpaxos_cstruct::SingleDecree;
+        type S = SingleDecree<u32>;
+        // 8 loses to 7: no value ever contains it, but a decided value
+        // absorbs it, so it retires on the 2b that retires 7.
+        let (mut c1, mut cx, r) = leading_with::<S>(&[7, 8]);
+        report_2b(&mut c1, 4, r, S::decided(7), &mut cx);
+        report_2b(&mut c1, 5, r, S::decided(7), &mut cx);
+        assert_eq!(c1.outstanding, [7, 8], "no quorum of reports yet");
+        // A quorum whose glb is ⊥ (one acceptor has accepted nothing)
+        // serves nothing.
+        report_2b(&mut c1, 6, r, S::bottom(), &mut cx);
+        assert_eq!(c1.outstanding, [7, 8]);
+        report_2b(&mut c1, 7, r, S::decided(7), &mut cx);
+        assert_eq!(c1.outstanding, [7, 8], "the ⊥ report still caps the glb");
+        report_2b(&mut c1, 6, r, S::decided(7), &mut cx);
+        assert!(c1.outstanding.is_empty(), "7 contained, 8 absorbed");
+        // A proposal arriving after the decision is only ever absorbed:
+        // the next 2b retires it.
+        let late = Msg::Propose {
+            cmd: 9,
+            acc_quorum: None,
+        };
+        c1.on_message(ProcessId(0), late, &mut cx);
+        assert_eq!(c1.outstanding, [9]);
+        report_2b(&mut c1, 8, r, S::decided(7), &mut cx);
+        assert!(c1.outstanding.is_empty(), "9 absorbed");
+    }
+
+    /// History commands: same key ⇒ conflicting.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct K(u16, u16);
+
+    impl mcpaxos_cstruct::Conflict for K {
+        fn conflicts(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+        fn conflict_keys(&self) -> mcpaxos_cstruct::ConflictKeys {
+            mcpaxos_cstruct::ConflictKeys::one(u64::from(self.0))
+        }
+    }
+
+    impl mcpaxos_actor::wire::Wire for K {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+            self.1.encode(out);
+        }
+        fn decode(i: &mut &[u8]) -> Result<Self, mcpaxos_actor::wire::WireError> {
+            Ok(K(u16::decode(i)?, u16::decode(i)?))
+        }
+    }
+
+    type H = mcpaxos_cstruct::CommandHistory<K>;
+
+    fn hist(cmds: &[&K]) -> H {
+        cmds.iter().map(|&c| c.clone()).collect()
+    }
+
+    #[test]
+    fn history_report_completing_containment_retires_common_commands() {
+        let (x, y, z) = (K(1, 0), K(2, 0), K(3, 0));
+        let (mut c1, mut cx, r) = leading_with::<H>(&[x.clone(), y.clone(), z.clone()]);
+        report_2b(&mut c1, 4, r, hist(&[&x, &y, &z]), &mut cx);
+        report_2b(&mut c1, 5, r, hist(&[&y, &x, &z]), &mut cx);
+        assert_eq!(c1.outstanding.len(), 3, "no quorum of reports yet");
+        // The third report completes a quorum: x and y are in every
+        // report (in commuting orders), z is not.
+        report_2b(&mut c1, 6, r, hist(&[&x, &y]), &mut cx);
+        assert_eq!(c1.outstanding, std::slice::from_ref(&z));
+        report_2b(&mut c1, 6, r, hist(&[&x, &y, &z]), &mut cx);
+        assert!(c1.outstanding.is_empty());
+
+        // Every report holding a command is necessary, not sufficient:
+        // u and w conflict and two reports order them differently, so
+        // the glb holds neither and both stay outstanding.
+        let (u, w) = (K(9, 0), K(9, 1));
+        let (mut c1, mut cx, r) = leading_with::<H>(&[u.clone(), w.clone()]);
+        report_2b(&mut c1, 4, r, hist(&[&u, &w]), &mut cx);
+        report_2b(&mut c1, 5, r, hist(&[&w, &u]), &mut cx);
+        report_2b(&mut c1, 6, r, hist(&[&u, &w]), &mut cx);
+        assert_eq!(c1.outstanding, [u, w]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different watermarks")]
+    fn misaligned_2b_reports_panic_even_when_nothing_is_served() {
+        let x = K(1, 0);
+        let (mut c1, mut cx, r) = leading_with::<H>(std::slice::from_ref(&x));
+        let at = |watermark: u64, cmds: &[&K]| {
+            let mut v = H::bottom_at(watermark);
+            v.append_all(cmds.iter().map(|&c| c.clone()));
+            Arc::new(v)
+        };
+        // Ingestion normalizes watermarks, so feed the reports straight
+        // to the progress tracker. The middle report lacks x: no glb is
+        // needed, yet the misalignment must still be caught.
+        c1.observe_2b(ProcessId(4), r, at(0, &[&x]), &mut cx);
+        c1.observe_2b(ProcessId(5), r, at(5, &[]), &mut cx);
+        c1.observe_2b(ProcessId(6), r, at(0, &[&x]), &mut cx);
     }
 
     #[test]

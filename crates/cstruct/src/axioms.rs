@@ -54,6 +54,27 @@ pub fn check_absorbs<C: CStruct>(a: &C, cmd: &C::Cmd) {
     );
 }
 
+/// `contains` and `absorbs` are monotone along `⊑`: a value extending one
+/// that contains (absorbs) `C` contains (absorbs) it too. The coordinator
+/// relies on this to rule out a served command from the reports alone,
+/// without building their glb.
+pub fn check_monotone_membership<C: CStruct>(a: &C, b: &C, cmd: &C::Cmd) {
+    if a.le(b) {
+        if a.contains(cmd) {
+            assert!(
+                b.contains(cmd),
+                "contains not monotone: {a:?} ⊑ {b:?}, only the first contains {cmd:?}"
+            );
+        }
+        if a.absorbs(cmd) {
+            assert!(
+                b.absorbs(cmd),
+                "absorbs not monotone: {a:?} ⊑ {b:?}, only the first absorbs {cmd:?}"
+            );
+        }
+    }
+}
+
 /// CS3 (glb): `a ⊓ b` is a lower bound of `{a, b}` and is greater than any
 /// lower bound in `candidates`.
 pub fn check_glb<C: CStruct>(a: &C, b: &C, candidates: &[C]) {
@@ -149,6 +170,14 @@ pub fn check_all<C: CStruct>(a: &C, b: &C, c: &C, cmd: &C::Cmd) {
     check_partial_order(a, b, c);
     check_bottom_and_append(a, cmd);
     check_absorbs(a, cmd);
+    for (x, y) in [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)] {
+        check_monotone_membership(x, y, cmd);
+    }
+    // The glb and an extension are ⊑-related to `a` by construction, so
+    // the check also runs on pairs the inputs rarely provide.
+    let (g, ext) = (a.glb(b), a.appended(cmd));
+    check_monotone_membership(&g, a, cmd);
+    check_monotone_membership(a, &ext, cmd);
     check_glb(a, b, &candidates);
     check_lub(a, b, &candidates);
     check_compatibility_consistency(a, b);

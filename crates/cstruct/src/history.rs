@@ -20,7 +20,20 @@
 //!   [`Conflict::conflict_keys`] locality hint — turns the O(n²) pairwise
 //!   checks of `eq`/`le` and the O(n³) clone-and-`remove(0)` loops of
 //!   `prefix`/`compatible` into single front-pointer passes costing
-//!   O(n + conflict-edges).
+//!   O(n + conflict-edges);
+//! * every pass first skips the operands' *positional common run* — the
+//!   longest `p` with equal sequences up to `p`, element by element. Those
+//!   positions are a common prefix of both posets, so `prefix`,
+//!   `compatible`, `le` and `eq` mark them kept/consumed/mapped in bulk
+//!   and start probing the indexes at `p`, with exactly the result of the
+//!   full pass. Values in steady state are chains sharing a long run, so a
+//!   pass costs O(divergent tail) hash probes;
+//! * a k-way glb ([`CStruct::glb_with`]) narrows a mask over the first
+//!   operand with one `prefix` pass per further operand and builds a single
+//!   result: a clone when every position survives, else one subsequence.
+//!   A left fold of pairwise glbs returns the first operand restricted to
+//!   the glb's command set, so the sequence is the fold's, without the
+//!   k − 2 intermediate histories. Pairwise `glb` is its one-operand case.
 //!
 //! Histories are *windowed*, not grow-forever: a history is logically a
 //! truncated **stable prefix** (identified only by its length, the
@@ -317,6 +330,43 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
         );
     }
 
+    /// Length of the positional common run of `self` and `other`: the
+    /// longest `p` with `self.seq[..p] == other.seq[..p]` element by
+    /// element. Position `k < p` holds the same command in both and its
+    /// conflict predecessors are positions below `k`, so the run is a
+    /// common prefix of both posets with the identity position map.
+    fn common_run(&self, other: &Self) -> usize {
+        self.seq
+            .iter()
+            .zip(&other.seq)
+            .take_while(|(a, b)| a == b)
+            .count()
+    }
+
+    /// The checks `eq` and `le` share: every command of `self` occurs in
+    /// `other`, and every conflicting pair of `self` keeps its orientation
+    /// there. Returns the common run's length and where each of `self`'s
+    /// positions sits in `other` (the run maps to itself and needs no
+    /// check), or `None` on a violation.
+    fn embed_in(&self, other: &Self) -> Option<(usize, Vec<u32>)> {
+        let run = self.common_run(other);
+        let mut other_pos: Vec<u32> = Vec::with_capacity(self.seq.len());
+        other_pos.extend(0..run as u32);
+        for x in &self.seq[run..] {
+            other_pos.push(*other.pos.get(x)?);
+        }
+        // The pairs are exactly our adjacency edges (every conflicting
+        // pair of `self` is one).
+        for ib in run..self.seq.len() {
+            for &ia in self.preds_of(ib) {
+                if other_pos[ia as usize] > other_pos[ib] {
+                    return None;
+                }
+            }
+        }
+        Some((run, other_pos))
+    }
+
     /// Position `i`'s conflict predecessors (unordered).
     #[inline]
     fn preds_of(&self, i: usize) -> &[u32] {
@@ -508,7 +558,11 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
         Err(i.conflicts_any(head, |j| !removed_i[j]))
     }
 
-    /// The paper's `Prefix(H, I)` operator: the glb of two histories.
+    /// One pass of the paper's `Prefix(H, I)` operator (the glb of two
+    /// histories) inside a k-way glb: `alive` marks the positions of `h`
+    /// still in the running glb, which is `h`'s subsequence over them
+    /// with `h`'s edges among them. Narrows `alive` to the positions of
+    /// `Prefix(h|alive, i)` and returns how many remain.
     ///
     /// Single forward pass over `h` with tombstones instead of the
     /// reference's clone-and-`remove(0)` loops. A failed head "dies", and
@@ -516,32 +570,57 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
     /// reference's repeated `Descendants` stripping, because an element
     /// conflicting with a dead predecessor was necessarily still present
     /// when that predecessor died (consumption only happens at the front,
-    /// at positions before the dead element).
-    fn prefix(h: &Self, i: &Self) -> Vec<usize> {
-        let mut kept = Vec::new();
+    /// at positions before the dead element). Positions outside `alive`
+    /// are skipped and never die: they are not in the running glb.
+    ///
+    /// The pass opens with the common run of `h|alive` and `i`: a head
+    /// equal to `i`'s next command has nothing remaining before it in
+    /// either operand, so it is kept and consumed without a probe.
+    fn narrow_to_prefix(h: &Self, i: &Self, alive: &mut [bool]) -> usize {
+        let mut ph = 0;
+        let mut run = 0;
+        while ph < h.seq.len() && run < i.seq.len() {
+            if alive[ph] {
+                if h.seq[ph] != i.seq[run] {
+                    break;
+                }
+                run += 1;
+            }
+            ph += 1;
+        }
+        if ph == h.seq.len() || run == i.seq.len() {
+            // Nothing of `i` left to match the rest of `h` against.
+            alive[ph..].fill(false);
+            return run;
+        }
+        let mut kept = run;
         let mut dead_h = vec![false; h.seq.len()];
         let mut removed_i = vec![false; i.seq.len()];
-        let mut remaining_i = i.seq.len();
-        for ph in 0..h.seq.len() {
-            if remaining_i == 0 {
-                break;
-            }
-            if h.preds_of(ph).iter().any(|&q| dead_h[q as usize]) {
-                dead_h[ph] = true; // transitively ordered after a dead head
+        removed_i[..run].fill(true);
+        let mut remaining_i = i.seq.len() - run;
+        for ph in ph..h.seq.len() {
+            if !alive[ph] {
                 continue;
             }
-            let head = &h.seq[ph];
-            match Self::scan_for(head, i, &removed_i) {
-                Ok(j) => {
-                    // Head is in the common prefix.
-                    kept.push(ph);
-                    removed_i[j] = true;
-                    remaining_i -= 1;
-                }
-                Err(_) => {
-                    // Head (and everything ordered after it) is not common.
-                    dead_h[ph] = true;
-                }
+            if remaining_i == 0 {
+                alive[ph..].fill(false);
+                break;
+            }
+            let common = !h.preds_of(ph).iter().any(|&q| dead_h[q as usize])
+                && match Self::scan_for(&h.seq[ph], i, &removed_i) {
+                    Ok(j) => {
+                        removed_i[j] = true;
+                        remaining_i -= 1;
+                        true
+                    }
+                    Err(_) => false,
+                };
+            if common {
+                kept += 1;
+            } else {
+                // Head (and everything ordered after it) is not common.
+                dead_h[ph] = true;
+                alive[ph] = false;
             }
         }
         kept
@@ -550,11 +629,15 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
     /// The paper's `AreCompatible(H, I, A)` operator, with the skipped-set
     /// accumulator `A` realised as a bitmap over `h`'s positions and the
     /// "conflicts with a skipped command" test answered by the adjacency.
+    /// The common run is consumed up front: each of its heads is found at
+    /// its own position with nothing skipped before it.
     fn compatible_impl(h: &Self, i: &Self) -> bool {
+        let run = h.common_run(i);
         let mut removed_i = vec![false; i.seq.len()];
-        let mut remaining_i = i.seq.len();
+        removed_i[..run].fill(true);
+        let mut remaining_i = i.seq.len() - run;
         let mut skipped_h = vec![false; h.seq.len()];
-        for ph in 0..h.seq.len() {
+        for ph in run..h.seq.len() {
             if remaining_i == 0 {
                 break;
             }
@@ -586,28 +669,9 @@ impl<C: Conflict + Eq + Hash + Clone> PartialEq for CommandHistory<C> {
     /// O(n + conflict-edges) through the indexes.
     fn eq(&self, other: &Self) -> bool {
         self.assert_aligned(other, "eq");
-        if self.seq.len() != other.seq.len() {
-            return false;
-        }
-        // Same elements, noting where each of ours sits in `other`.
-        let mut other_pos = vec![0u32; self.seq.len()];
-        for (idx, x) in self.seq.iter().enumerate() {
-            match other.pos.get(x) {
-                Some(&j) => other_pos[idx] = j,
-                None => return false,
-            }
-        }
-        // Same orientation for every conflicting pair: the pairs are
-        // exactly our adjacency edges (equal command sets have equal edge
-        // sets).
-        for ib in 0..self.seq.len() {
-            for &ia in self.preds_of(ib) {
-                if other_pos[ia as usize] > other_pos[ib] {
-                    return false;
-                }
-            }
-        }
-        true
+        // Equal lengths plus containment give the same command set, hence
+        // the same edge set; `embed_in` checks every edge's orientation.
+        self.seq.len() == other.seq.len() && self.embed_in(other).is_some()
     }
 }
 
@@ -665,24 +729,15 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         // (2) conflicting pairs within self keep their orientation in other;
         // (3) every other-only command conflicting with a self command is
         //     ordered after it in other (appends go at the end).
-        let mut other_pos = vec![0u32; self.seq.len()];
-        for (idx, x) in self.seq.iter().enumerate() {
-            match other.pos.get(x) {
-                Some(&j) => other_pos[idx] = j,
-                None => return false,
-            }
-        }
-        for ib in 0..self.seq.len() {
-            for &ia in self.preds_of(ib) {
-                if other_pos[ia as usize] > other_pos[ib] {
-                    return false;
-                }
-            }
-        }
+        let Some((run, other_pos)) = self.embed_in(other) else {
+            return false;
+        };
         // (3), read from the self side: a violation is an other-only
         // command x preceding some y ∈ self in other with x # y — i.e. a
         // conflict-predecessor of y (in other) that self does not contain.
-        for &jy in &other_pos {
+        // A run position's predecessors lie inside the run, which self
+        // contains.
+        for &jy in &other_pos[run..] {
             for &p in other.preds_of(jy as usize) {
                 if !self.pos.contains_key(&other.seq[p as usize]) {
                     return false;
@@ -693,13 +748,27 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
     }
 
     fn glb(&self, other: &Self) -> Self {
-        self.assert_aligned(other, "glb");
-        let kept = Self::prefix(self, other);
-        if kept.len() == self.seq.len() {
+        self.glb_with(std::iter::once(other))
+    }
+
+    fn glb_with<'a>(&self, others: impl IntoIterator<Item = &'a Self>) -> Self
+    where
+        Self: 'a,
+    {
+        let mut alive = vec![true; self.seq.len()];
+        let mut kept = self.seq.len();
+        for other in others {
+            self.assert_aligned(other, "glb");
+            if kept > 0 {
+                kept = Self::narrow_to_prefix(self, other, &mut alive);
+            }
+        }
+        if kept == self.seq.len() {
             // Every position survives: the rebuild would reproduce `self`'s
             // sequence and adjacency exactly, so skip re-hashing the indexes.
             return self.clone();
         }
+        let kept: Vec<usize> = (0..self.seq.len()).filter(|&p| alive[p]).collect();
         Self::from_subsequence(self, &kept)
     }
 

@@ -101,6 +101,25 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     /// The greatest lower bound `self ⊓ other`. Always exists (axiom CS3).
     fn glb(&self, other: &Self) -> Self;
 
+    /// The greatest lower bound of `self` and every value in `others`:
+    /// `self ⊓ o₁ ⊓ … ⊓ oₖ`, folded from the left; `self` itself when
+    /// `others` is empty. Implementations that can narrow `self` in place
+    /// override the default, which allocates every intermediate glb; an
+    /// override must return exactly the value the fold returns.
+    fn glb_with<'a>(&self, others: impl IntoIterator<Item = &'a Self>) -> Self
+    where
+        Self: 'a,
+    {
+        let mut acc: Option<Self> = None;
+        for x in others {
+            acc = Some(match acc {
+                None => self.glb(x),
+                Some(a) => a.glb(x),
+            });
+        }
+        acc.unwrap_or_else(|| self.clone())
+    }
+
     /// The least upper bound `self ⊔ other`, or `None` if `self` and
     /// `other` are incompatible (have no common upper bound).
     fn lub(&self, other: &Self) -> Option<Self>;
@@ -205,9 +224,8 @@ pub fn glb_all<C: CStruct>(items: impl IntoIterator<Item = C>) -> C {
 }
 
 /// Greatest lower bound of a non-empty collection of c-structs, by
-/// reference: no input is cloned (only the fold's intermediate results are
-/// allocated, which `glb` does anyway). A singleton collection clones its
-/// one element.
+/// reference: `first.glb_with(rest)`, so no input is cloned (a singleton
+/// collection clones its one element).
 ///
 /// This is the hot-path variant used by the agents, which hold their
 /// quorum reports in maps and must not deep-copy every c-struct just to
@@ -219,14 +237,7 @@ pub fn glb_all<C: CStruct>(items: impl IntoIterator<Item = C>) -> C {
 pub fn glb_all_ref<'a, C: CStruct>(items: impl IntoIterator<Item = &'a C>) -> C {
     let mut it = items.into_iter();
     let first = it.next().expect("glb_all requires a non-empty collection");
-    let mut acc: Option<C> = None;
-    for x in it {
-        acc = Some(match acc {
-            None => first.glb(x),
-            Some(a) => a.glb(x),
-        });
-    }
-    acc.unwrap_or_else(|| first.clone())
+    first.glb_with(it)
 }
 
 /// Least upper bound of a non-empty collection of c-structs, or `None` if

@@ -6,7 +6,9 @@
 //! fallback are pinned against the oracle.
 
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys, RefCommandHistory};
+use mcpaxos_cstruct::{
+    glb_all_ref, CStruct, CommandHistory, Conflict, ConflictKeys, RefCommandHistory,
+};
 use proptest::prelude::*;
 
 /// Same-key interference with an exact one-key hint.
@@ -191,6 +193,11 @@ fn key_cmd() -> impl Strategy<Value = KeyCmd> {
     (0u8..4, 0u16..8).prop_map(|(key, uid)| KeyCmd { key, uid })
 }
 
+/// Commands from a pool of nine, so tails overlap often.
+fn pooled_cmd() -> impl Strategy<Value = KeyCmd> {
+    (0u8..3, 0u16..3).prop_map(|(key, uid)| KeyCmd { key, uid })
+}
+
 fn mixed_cmd() -> impl Strategy<Value = MixedCmd> {
     prop_oneof![
         (0u8..4, 0u16..8).prop_map(|(k, u)| MixedCmd::Keyed(k, u)),
@@ -346,6 +353,79 @@ proptest! {
         prop_assert_eq!(ia.glb(&ia).as_slice(), ia.as_slice());
         let it: CommandHistory<KeyCmd> = tail_cmds.iter().cloned().collect();
         prop_assert_eq!(ia.glb(&it).as_slice(), ia.as_slice());
+    }
+
+    /// Long positional runs — the steady-state shape the operators skip
+    /// in bulk — followed by divergent tails. Optionally one side swaps
+    /// the run's last command with a command `x` that commutes with it,
+    /// so the positional run ends one short of the posets' common prefix;
+    /// the other side may hold `x` right after the run (equal posets up to
+    /// there) or not at all.
+    #[test]
+    fn long_shared_runs_match_reference(
+        keys in prop::collection::vec(0u8..4, 8..16),
+        a in prop::collection::vec((0u8..4, 100u16..106), 0..8),
+        b in prop::collection::vec((0u8..4, 100u16..106), 0..8),
+        swap in 0u8..3,
+        x_key_shift in 1u8..4,
+        other_holds_x in any::<bool>(),
+    ) {
+        let run: Vec<KeyCmd> = keys
+            .iter()
+            .enumerate()
+            .map(|(uid, &key)| KeyCmd { key, uid: uid as u16 })
+            .collect();
+        let last = run[run.len() - 1].clone();
+        let x = KeyCmd { key: (last.key + x_key_shift) % 4, uid: 200 };
+        let swapped: Vec<KeyCmd> = run[..run.len() - 1]
+            .iter()
+            .cloned()
+            .chain([x.clone(), last])
+            .collect();
+        let mut plain = run;
+        if other_holds_x {
+            plain.push(x);
+        }
+        let (mut a_cmds, mut b_cmds) = match swap {
+            0 => (plain.clone(), plain),
+            1 => (plain, swapped),
+            _ => (swapped, plain),
+        };
+        let tail = |t: Vec<(u8, u16)>| t.into_iter().map(|(key, uid)| KeyCmd { key, uid });
+        a_cmds.extend(tail(a));
+        b_cmds.extend(tail(b));
+        assert_agree(&a_cmds, &b_cmds)?;
+    }
+
+    /// A k-way glb (`glb_all_ref`, i.e. `glb_with` on the first operand)
+    /// returns exactly the left fold of pairwise glbs — the same sequence
+    /// and adjacency — and the oracle's fold. The operands share a run and
+    /// draw their tails from a small pool, so later passes narrow a mask
+    /// with holes in it.
+    #[test]
+    fn k_way_glb_matches_pairwise_fold(
+        shared in prop::collection::vec(key_cmd(), 0..10),
+        tails in prop::collection::vec(prop::collection::vec(pooled_cmd(), 0..8), 3..6),
+    ) {
+        let cmds: Vec<Vec<KeyCmd>> = tails
+            .into_iter()
+            .map(|t| shared.iter().cloned().chain(t).collect())
+            .collect();
+        let hs: Vec<CommandHistory<KeyCmd>> =
+            cmds.iter().map(|c| c.iter().cloned().collect()).collect();
+        let rs: Vec<RefCommandHistory<KeyCmd>> =
+            cmds.iter().map(|c| c.iter().cloned().collect()).collect();
+        let k_way = glb_all_ref(hs.iter());
+        let fold = hs[1..].iter().fold(hs[0].clone(), |acc, x| acc.glb(x));
+        let rfold = rs[1..].iter().fold(rs[0].clone(), |acc, x| acc.glb(x));
+        prop_assert_eq!(k_way.as_slice(), fold.as_slice(), "k-way glb != pairwise fold");
+        prop_assert_eq!(k_way.as_slice(), rfold.as_slice(), "k-way glb != oracle fold");
+        prop_assert_eq!(k_way.conflict_edges(), fold.conflict_edges());
+        prop_assert!(k_way == fold);
+        for h in &hs {
+            prop_assert!(k_way.le(h), "k-way glb is not a lower bound");
+        }
+        prop_assert_eq!(hs[0].glb_with([]).as_slice(), hs[0].as_slice());
     }
 
     /// Compaction: truncating a stable segment (a prefix of the pairwise
